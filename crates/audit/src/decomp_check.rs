@@ -18,7 +18,8 @@
 //! it requires every gate of the network to be covered by some equation's
 //! walk (no uncertified logic).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt;
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
@@ -26,36 +27,46 @@ use asyncmap_network::{
     DecompTrace, EquationSet, GateOp, Network, NodeKind, RewriteRule, RewriteStep, SignalId,
 };
 
+use crate::cache::{discharge, AuditCache, Obligation};
 use crate::equiv::{prove_equal, EquivProof};
 use crate::monotone::recheck_monotone;
 use crate::report::{AuditReport, Severity};
-use crate::AuditCache;
 
-/// Re-derives the expression the gate tree rooted at `signal` realizes:
-/// inputs become variables (by input position), inverters become `Not`,
-/// AND/OR gates become the raw binary `Expr` nodes the certified
-/// balanced-tree regrouping claims. Every gate visited is recorded in
-/// `visited`.
-fn realized_expr(
+/// Walks the gate tree rooted at `signal` and compares the expression it
+/// realizes against `expected` without building it: inputs realize
+/// variables (by input position), inverters `Not`, buffers their fanin,
+/// AND/OR gates the raw `Expr` nodes the certified balanced-tree
+/// regrouping claims. Every gate of the tree is marked in `visited`,
+/// whether or not it matches; `expected` is `None` below a mismatch,
+/// where the walk only marks.
+fn realizes(
     net: &Network,
     signal: SignalId,
     positions: &HashMap<SignalId, usize>,
-    visited: &mut HashSet<SignalId>,
-) -> Expr {
+    visited: &mut [bool],
+    expected: Option<&Expr>,
+) -> bool {
     match net.node(signal) {
-        NodeKind::Input => Expr::Var(VarId(positions[&signal])),
+        NodeKind::Input => {
+            let v = VarId(positions[&signal]);
+            matches!(expected, Some(Expr::Var(e)) if *e == v)
+        }
         NodeKind::Gate { op, fanin } => {
-            visited.insert(signal);
-            let mut args: Vec<Expr> = fanin
-                .iter()
-                .map(|&f| realized_expr(net, f, positions, visited))
-                .collect();
-            match op {
-                GateOp::Inv => args.pop().expect("inverter fanin").not(),
-                GateOp::Buf => args.pop().expect("buffer fanin"),
-                GateOp::And => Expr::And(args),
-                GateOp::Or => Expr::Or(args),
+            visited[signal.index()] = true;
+            // The operands `expected` claims for this gate, if it claims
+            // the gate's operator (inverters and buffers have one fanin).
+            let kids: Option<&[Expr]> = match (op, expected) {
+                (GateOp::Inv, Some(Expr::Not(e))) => Some(std::slice::from_ref(&**e)),
+                (GateOp::Buf, Some(e)) => Some(std::slice::from_ref(e)),
+                (GateOp::And, Some(Expr::And(es))) | (GateOp::Or, Some(Expr::Or(es))) => Some(es),
+                _ => None,
+            };
+            let mut ok = kids.is_some_and(|k| k.len() == fanin.len());
+            for (i, &f) in fanin.iter().enumerate() {
+                let kid = kids.filter(|_| ok).map(|k| &k[i]);
+                ok &= realizes(net, f, positions, visited, kid);
             }
+            ok
         }
     }
 }
@@ -122,21 +133,60 @@ fn count_proof(report: &mut AuditReport, proof: EquivProof) {
     }
 }
 
-fn check_monotone(
+/// Where a decomposition diagnostic points. Rendered only when a
+/// diagnostic is pushed, so a clean replay formats no paths.
+enum Site<'a> {
+    Step {
+        equation: &'a str,
+        index: usize,
+        rule: RewriteRule,
+    },
+    Equation(&'a str),
+}
+
+impl fmt::Display for Site<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Site::Step {
+                equation,
+                index,
+                rule,
+            } => write!(f, "{equation}:step{index}:{}", rule.name()),
+            Site::Equation(name) => write!(f, "{name}:equation"),
+        }
+    }
+}
+
+/// The expression-pure obligations of a step or equation certificate:
+/// `after ≡ before`, then `hazards(after) ⊆ hazards(before)`. Returns
+/// `false` (after pushing the finding) when the equivalence is refuted.
+fn prove_rewrite(
     report: &mut AuditReport,
-    candidate: &Expr,
-    reference: &Expr,
-    code: &'static str,
-    path: &str,
-) {
-    let out = recheck_monotone(candidate, reference);
+    before: &Expr,
+    after: &Expr,
+    nvars: usize,
+    site: &Site<'_>,
+    divergence: &str,
+) -> bool {
+    let (eq, proof) = prove_equal(before, after, nvars);
+    count_proof(report, proof);
+    if !eq {
+        report.push(
+            Severity::Error,
+            "decomp.not-equivalent",
+            site.to_string(),
+            divergence.to_owned(),
+        );
+        return false;
+    }
+    let out = recheck_monotone(after, before);
     if out.partial {
         report.counters.hazard_partial += 1;
         if out.skipped {
             report.push(
                 Severity::Info,
                 "decomp.hazard-partial",
-                path.to_owned(),
+                site.to_string(),
                 format!("hazard re-check degraded: {}", out.detail),
             );
         }
@@ -146,11 +196,12 @@ fn check_monotone(
     if !out.ok {
         report.push(
             Severity::Error,
-            code,
-            path.to_owned(),
+            "decomp.hazard-containment",
+            site.to_string(),
             format!("hazards(after) ⊆ hazards(before) refuted ({})", out.detail),
         );
     }
+    true
 }
 
 /// Replays a [`DecompTrace`] against the network it claims to describe.
@@ -183,15 +234,19 @@ fn check_decomp_trace_inner(
     report.counters.rewrite_steps = trace.steps.len();
     report.counters.equations = trace.equations.len();
     let positions = net.input_positions();
-    let mut visited: HashSet<SignalId> = HashSet::new();
+    let mut visited = vec![false; net.len()];
 
     for (i, step) in trace.steps.iter().enumerate() {
-        let path = format!("{}:step{}:{}", step.equation, i, step.rule.name());
+        let site = Site::Step {
+            equation: &step.equation,
+            index: i,
+            rule: step.rule,
+        };
         if !rule_applies(step) {
             report.push(
                 Severity::Error,
                 "decomp.rule-mismatch",
-                path.clone(),
+                site.to_string(),
                 format!(
                     "before/after pair is not an instance of {}",
                     step.rule.name()
@@ -218,12 +273,12 @@ fn check_decomp_trace_inner(
                     _ => false,
                 };
                 if ok {
-                    visited.insert(step.node);
+                    visited[step.node.index()] = true;
                 } else {
                     report.push(
                         Severity::Error,
                         "decomp.node-mismatch",
-                        path,
+                        site.to_string(),
                         format!(
                             "node {:?} is not an inverter over input {}",
                             step.node,
@@ -236,66 +291,45 @@ fn check_decomp_trace_inner(
             RewriteRule::AssocRegroup | RewriteRule::DeMorganPush => {
                 // The equivalence and monotonicity obligations depend only
                 // on (nvars, rule, before, after) — never on the network —
-                // so an identical obligation that already replayed clean
+                // so a memoized outcome of the identical obligation
                 // discharges this one.
-                let key = cache.as_ref().map(|_| {
-                    format!(
-                        "{}|{}|{:?}|{:?}",
-                        trace.nvars,
-                        step.rule.name(),
-                        step.before,
-                        step.after
-                    )
-                });
-                let reused =
-                    matches!((&cache, &key), (Some(c), Some(k)) if c.clean_steps.contains(k));
-                if reused {
-                    report.counters.reused_steps += 1;
-                } else {
-                    let (f0, n0) = (report.findings.len(), report.notes.len());
-                    let (eq, proof) = prove_equal(&step.before, &step.after, trace.nvars);
-                    count_proof(&mut report, proof);
-                    if !eq {
-                        report.push(
-                            Severity::Error,
-                            "decomp.not-equivalent",
-                            path.clone(),
-                            "before and after compute different functions".to_owned(),
-                        );
-                        continue;
-                    }
-                    check_monotone(
-                        &mut report,
-                        &step.after,
-                        &step.before,
-                        "decomp.hazard-containment",
-                        &path,
-                    );
-                    // Only perfectly quiet replays are reusable: a partial
-                    // hazard re-check note must re-appear on every audit.
-                    if report.findings.len() == f0 && report.notes.len() == n0 {
-                        if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                            c.clean_steps.insert(k);
-                        }
-                    }
+                let proceed = discharge(
+                    &mut report,
+                    cache.as_deref_mut(),
+                    Obligation::Step(step.rule),
+                    trace.nvars,
+                    &[&step.before, &step.after],
+                    &site,
+                    |report| {
+                        prove_rewrite(
+                            report,
+                            &step.before,
+                            &step.after,
+                            trace.nvars,
+                            &site,
+                            "before and after compute different functions",
+                        )
+                    },
+                );
+                if !proceed {
+                    continue;
                 }
                 // Only assoc steps certify the final shape of their node's
                 // gate tree (a DeMorgan push is an intermediate rewrite;
                 // its node realizes the *fully pushed* form, covered by
                 // the equation certificate).
-                if step.rule == RewriteRule::AssocRegroup {
-                    let walked = realized_expr(net, step.node, &positions, &mut visited);
-                    if walked != step.after {
-                        report.push(
-                            Severity::Error,
-                            "decomp.node-mismatch",
-                            path,
-                            format!(
-                                "gate tree at {:?} does not realize the certified regrouping",
-                                step.node
-                            ),
-                        );
-                    }
+                if step.rule == RewriteRule::AssocRegroup
+                    && !realizes(net, step.node, &positions, &mut visited, Some(&step.after))
+                {
+                    report.push(
+                        Severity::Error,
+                        "decomp.node-mismatch",
+                        site.to_string(),
+                        format!(
+                            "gate tree at {:?} does not realize the certified regrouping",
+                            step.node
+                        ),
+                    );
                 }
             }
         }
@@ -307,14 +341,14 @@ fn check_decomp_trace_inner(
         .map(|(n, s)| (n.as_str(), *s))
         .collect();
     for cert in &trace.equations {
-        let path = format!("{}:equation", cert.name);
+        let site = Site::Equation(&cert.name);
         match outputs.get(cert.name.as_str()) {
             Some(&root) if root == cert.root => {}
             _ => {
                 report.push(
                     Severity::Error,
                     "decomp.output-mismatch",
-                    path.clone(),
+                    site.to_string(),
                     format!(
                         "network does not mark {:?} as output {:?}",
                         cert.root, cert.name
@@ -323,47 +357,32 @@ fn check_decomp_trace_inner(
                 continue;
             }
         }
-        let key = cache.as_ref().map(|_| {
-            format!(
-                "{}|equation|{:?}|{:?}",
-                trace.nvars, cert.source, cert.result
-            )
-        });
-        let reused = matches!((&cache, &key), (Some(c), Some(k)) if c.clean_equations.contains(k));
-        if reused {
-            report.counters.reused_equations += 1;
-        } else {
-            let (f0, n0) = (report.findings.len(), report.notes.len());
-            let (eq, proof) = prove_equal(&cert.source, &cert.result, trace.nvars);
-            count_proof(&mut report, proof);
-            if !eq {
-                report.push(
-                    Severity::Error,
-                    "decomp.not-equivalent",
-                    path.clone(),
-                    "decomposed result computes a different function than the source".to_owned(),
-                );
-                continue;
-            }
-            check_monotone(
-                &mut report,
-                &cert.result,
-                &cert.source,
-                "decomp.hazard-containment",
-                &path,
-            );
-            if report.findings.len() == f0 && report.notes.len() == n0 {
-                if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                    c.clean_equations.insert(k);
-                }
-            }
+        let proceed = discharge(
+            &mut report,
+            cache.as_deref_mut(),
+            Obligation::Equation,
+            trace.nvars,
+            &[&cert.source, &cert.result],
+            &site,
+            |report| {
+                prove_rewrite(
+                    report,
+                    &cert.source,
+                    &cert.result,
+                    trace.nvars,
+                    &site,
+                    "decomposed result computes a different function than the source",
+                )
+            },
+        );
+        if !proceed {
+            continue;
         }
-        let walked = realized_expr(net, cert.root, &positions, &mut visited);
-        if walked != cert.result {
+        if !realizes(net, cert.root, &positions, &mut visited, Some(&cert.result)) {
             report.push(
                 Severity::Error,
                 "decomp.node-mismatch",
-                path,
+                site.to_string(),
                 "network walk from the output root does not realize the certified expression"
                     .to_owned(),
             );
@@ -374,7 +393,7 @@ fn check_decomp_trace_inner(
     // walk (output roots expand through every cube tree and every shared
     // inverter).
     for s in net.signals() {
-        if matches!(net.node(s), NodeKind::Gate { .. }) && !visited.contains(&s) {
+        if matches!(net.node(s), NodeKind::Gate { .. }) && !visited[s.index()] {
             report.push(
                 Severity::Error,
                 "decomp.uncovered-gate",
@@ -546,5 +565,36 @@ mod tests {
         trace.equations[0].root = b;
         let report = check_decomp_trace(&net, &trace);
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn mismatched_walk_still_marks_its_whole_tree() {
+        // A realization walk that diverges from the certificate at the
+        // root must mark the same gates as a matching walk, so a forged
+        // certificate never changes which gates count as uncovered.
+        let eqs = figure3();
+        let (net, trace) = async_tech_decomp_traced(&eqs);
+        let cert = &trace.equations[0];
+        let positions = net.input_positions();
+        let mut matched = vec![false; net.len()];
+        assert!(realizes(
+            &net,
+            cert.root,
+            &positions,
+            &mut matched,
+            Some(&cert.result)
+        ));
+        for forged in [Expr::Const(true), cert.result.clone().not()] {
+            let mut marked = vec![false; net.len()];
+            assert!(!realizes(
+                &net,
+                cert.root,
+                &positions,
+                &mut marked,
+                Some(&forged)
+            ));
+            assert_eq!(marked, matched);
+        }
+        assert!(matched.iter().filter(|&&m| m).count() > 1);
     }
 }

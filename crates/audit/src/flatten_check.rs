@@ -56,17 +56,23 @@ fn image_expr(flat: &FlatSop) -> Expr {
 }
 
 /// Replays one flatten certificate. `nvars` is the variable space the
-/// flatten ran over.
-pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> AuditReport {
+/// flatten ran over; every diagnostic is anchored at `path` (the cone's
+/// `cone:<root>` in [`crate::audit_cone_flattens`]), or at
+/// `path:vacuous<i>` for a vacuous product's clash evidence.
+pub fn check_flatten(
+    flat: &FlatSop,
+    trace: &FlattenTrace,
+    nvars: usize,
+    path: &str,
+) -> AuditReport {
     let mut report = AuditReport::default();
     report.counters.flatten_traces = 1;
-    let path = "flatten".to_owned();
 
     if !is_nnf(&trace.nnf) {
         report.push(
             Severity::Error,
             "flatten.nnf-shape",
-            path.clone(),
+            path.to_owned(),
             "traced normal form complements a compound subexpression".to_owned(),
         );
         return report;
@@ -77,7 +83,7 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         report.push(
             Severity::Error,
             "flatten.nnf-divergence",
-            path.clone(),
+            path.to_owned(),
             "traced normal form computes a different function than the source".to_owned(),
         );
     }
@@ -88,7 +94,7 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         report.push(
             Severity::Error,
             "flatten.count-mismatch",
-            path.clone(),
+            path.to_owned(),
             format!(
                 "certificate claims {} product(s), SOP has {}, independent replay expects {}",
                 trace.products, produced, replayed
@@ -118,7 +124,7 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         report.push(
             Severity::Error,
             "flatten.not-equivalent",
-            path.clone(),
+            path.to_owned(),
             "flattened SOP computes a different function than the source".to_owned(),
         );
         return report;
@@ -146,7 +152,7 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
                     report.push(
                         Severity::Error,
                         "flatten.static-hazard-divergence",
-                        path.clone(),
+                        path.to_owned(),
                         format!(
                             "transition {a:#b} → {b:#b}: source {} a static hazard, SOP {}",
                             if sw.is_static_hazard() {
@@ -170,7 +176,7 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         report.push(
             Severity::Info,
             "flatten.hazard-partial",
-            path,
+            path.to_owned(),
             format!("support of {k} variables is too wide for the static-hazard sweep"),
         );
     }
@@ -214,7 +220,7 @@ mod tests {
             "(a + b*(c + d'))' + a*d",
         ] {
             let (flat, trace, nvars) = traced(text);
-            let report = check_flatten(&flat, &trace, nvars);
+            let report = check_flatten(&flat, &trace, nvars, "cone:f");
             assert!(report.is_clean(), "{text}: {}", report.render());
         }
     }
@@ -226,7 +232,7 @@ mod tests {
         let (mut flat, trace, nvars) = traced("(w + y')*(x + y)");
         assert_eq!(flat.vacuous.len(), 1);
         flat.vacuous.clear();
-        let report = check_flatten(&flat, &trace, nvars);
+        let report = check_flatten(&flat, &trace, nvars, "cone:f");
         assert!(report
             .findings
             .iter()
@@ -237,7 +243,7 @@ mod tests {
     fn forged_nnf_is_caught() {
         let (flat, mut trace, nvars) = traced("(w + y')*(x + y)");
         trace.nnf = trace.source.clone().not();
-        let report = check_flatten(&flat, &trace, nvars);
+        let report = check_flatten(&flat, &trace, nvars, "cone:f");
         assert!(!report.is_clean());
     }
 
@@ -245,7 +251,7 @@ mod tests {
     fn forged_clash_evidence_is_caught() {
         let (mut flat, trace, nvars) = traced("(w + y')*(x + y)");
         flat.vacuous[0].clashing.clear();
-        let report = check_flatten(&flat, &trace, nvars);
+        let report = check_flatten(&flat, &trace, nvars, "cone:f");
         assert!(report
             .findings
             .iter()

@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 pub mod decomp_check;
 pub mod equiv;
 pub mod flatten_check;
@@ -43,6 +44,7 @@ pub mod partition_check;
 pub mod report;
 pub mod spec_check;
 
+pub use cache::AuditCache;
 pub use decomp_check::{
     check_decomp, check_decomp_cached, check_decomp_trace, check_decomp_trace_cached,
 };
@@ -58,43 +60,7 @@ use asyncmap_network::{
     async_tech_decomp_traced, partition_traced, Cone, DecompTrace, EquationSet, Network,
     PartitionTrace,
 };
-use std::collections::HashSet;
-
-/// Reuse cache for the `_cached` audit entry points.
-///
-/// The expensive audit obligations — equivalence proofs, hazard-
-/// monotonicity ladders, flatten replays — are pure functions of the
-/// certified *expressions*, never of the network or design they came
-/// from. The cache remembers the exact obligations (rendered to canonical
-/// strings of their full inputs) that already replayed with **zero
-/// findings and zero notes**; an identical obligation in a later audit is
-/// discharged by reference and counted in the `reused_*` counters of
-/// [`AuditCounters`].
-///
-/// Everything that binds certificates to a *particular* network — rule
-/// applicability, gate-tree realization walks, the no-uncertified-logic
-/// sweep, output roots, source fidelity, the whole partition check —
-/// always runs in full, so a warm cache adds no trust assumption beyond
-/// "this exact obligation was discharged before". Obligations that
-/// produced any diagnostic (even an info note) are never cached.
-#[derive(Debug, Default)]
-pub struct AuditCache {
-    pub(crate) clean_steps: HashSet<String>,
-    pub(crate) clean_equations: HashSet<String>,
-    pub(crate) clean_flattens: HashSet<String>,
-}
-
-impl AuditCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total clean obligations remembered (steps + equations + flattens).
-    pub fn entries(&self) -> usize {
-        self.clean_steps.len() + self.clean_equations.len() + self.clean_flattens.len()
-    }
-}
+use cache::{discharge, Obligation};
 
 /// Audits the flatten collapse of every cone: replays
 /// [`multilevel_flatten_traced`] per cone and checks the resulting
@@ -105,9 +71,10 @@ pub fn audit_cone_flattens(net: &Network, cones: &[Cone]) -> AuditReport {
 }
 
 /// [`audit_cone_flattens`] with reuse: a cone whose expression (over the
-/// same leaf count) already replayed clean under `cache` is discharged by
-/// reference — the flatten is deterministic in the expression, so the
-/// replay would reproduce the prior result verbatim.
+/// same leaf count) already replayed without findings under `cache` is
+/// discharged by replaying the memoized outcome — the flatten is
+/// deterministic in the expression, so a fresh replay would reproduce it
+/// verbatim.
 pub fn audit_cone_flattens_cached(
     net: &Network,
     cones: &[Cone],
@@ -124,42 +91,52 @@ fn audit_cone_flattens_inner(
     let mut report = AuditReport::default();
     for cone in cones {
         let (expr, vars) = cone.to_expr(net);
-        let path = format!("cone:{}", net.name(cone.root));
-        let key = cache.as_ref().map(|_| format!("{}|{:?}", vars.len(), expr));
-        if matches!((&cache, &key), (Some(c), Some(k)) if c.clean_flattens.contains(k)) {
-            report.counters.flatten_traces += 1;
-            report.counters.reused_flattens += 1;
-            continue;
-        }
+        let path = ConePath(net.name(cone.root));
         if product_estimate(&expr) > FLATTEN_REPLAY_CAP {
             report.counters.flatten_skipped += 1;
             report.push(
                 Severity::Info,
                 "flatten.replay-skipped",
-                path,
+                path.to_string(),
                 "product estimate over the replay cap".to_owned(),
             );
             continue;
         }
-        let (flat, trace) = multilevel_flatten_traced(&expr, vars.len());
-        if trace.source != expr {
-            report.push(
-                Severity::Error,
-                "flatten.source-mismatch",
-                path,
-                "collapse trace does not start from the cone's expression".to_owned(),
-            );
-            continue;
-        }
-        let (f0, n0) = (report.findings.len(), report.notes.len());
-        report.merge(check_flatten(&flat, &trace, vars.len()));
-        if report.findings.len() == f0 && report.notes.len() == n0 {
-            if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                c.clean_flattens.insert(k);
-            }
-        }
+        // The collapse and its replay are deterministic in (leaf count,
+        // expression), so a memoized outcome of the same pair stands in.
+        discharge(
+            &mut report,
+            cache.as_deref_mut(),
+            Obligation::Flatten,
+            vars.len(),
+            &[&expr],
+            &path,
+            |report| {
+                let (flat, trace) = multilevel_flatten_traced(&expr, vars.len());
+                if trace.source != expr {
+                    report.push(
+                        Severity::Error,
+                        "flatten.source-mismatch",
+                        path.to_string(),
+                        "collapse trace does not start from the cone's expression".to_owned(),
+                    );
+                    return false;
+                }
+                report.merge(check_flatten(&flat, &trace, vars.len(), &path.to_string()));
+                true
+            },
+        );
     }
     report
+}
+
+/// The path flatten diagnostics are anchored at: the cone's root signal.
+struct ConePath<'a>(&'a str);
+
+impl std::fmt::Display for ConePath<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cone:{}", self.0)
+    }
 }
 
 /// Checks a full front-end run — decomposition, partition and per-cone
@@ -241,47 +218,83 @@ mod tests {
         assert_eq!(report.counters.equations, 2);
     }
 
+    fn diagnostics(r: &AuditReport) -> [Vec<String>; 2] {
+        [&r.findings, &r.notes].map(|g| g.iter().map(|f| f.to_string()).collect())
+    }
+
     #[test]
-    fn warm_cache_discharges_every_quiet_obligation() {
-        let vars = VarTable::from_names(["a", "b", "c"]);
-        let f = Cover::parse("ab + a'c + bc", &vars).unwrap();
+    fn warm_cache_discharges_every_obligation_and_replays_its_notes() {
+        // Nine inputs: the equation's support is too wide for the exact
+        // hazard sweep, so its cone's flatten replay ends in an info note.
+        let vars = VarTable::from_names(["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
+        let f = Cover::parse("abc + de'f + ghi' + beh", &vars).unwrap();
         let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
         let mut cache = AuditCache::new();
         let cold = audit_equations_cached(&eqs, &mut cache);
         assert!(cold.is_clean(), "{}", cold.render());
+        assert!(cold
+            .notes
+            .iter()
+            .any(|n| n.code == "flatten.hazard-partial" && n.path.starts_with("cone:")));
         assert!(cache.entries() > 0);
         let warm = audit_equations_cached(&eqs, &mut cache);
-        assert!(warm.is_clean(), "{}", warm.render());
-        // Identical verdict, identical certificate accounting, identical
-        // diagnostics — only the discharge mechanism differs.
+        // Identical diagnostics and certificate accounting; only the
+        // discharge mechanism differs.
+        assert_eq!(diagnostics(&warm), diagnostics(&cold));
         assert_eq!(
             warm.counters.num_certificates(),
             cold.counters.num_certificates()
         );
-        assert_eq!(warm.findings.len(), cold.findings.len());
-        assert_eq!(warm.notes.len(), cold.notes.len());
-        // With no noisy obligations, every cacheable step (input-inverter
-        // realizations are network-bound and always re-checked), equation
-        // and flatten of the second pass is discharged by reference.
-        if cold.notes.is_empty() {
-            let (_, dtrace) = async_tech_decomp_traced(&eqs);
-            let cacheable = dtrace
-                .steps
-                .iter()
-                .filter(|s| s.rule != asyncmap_network::RewriteRule::InputInverter)
-                .count();
-            assert_eq!(warm.counters.reused_steps, cacheable);
-            assert_eq!(warm.counters.reused_equations, warm.counters.equations);
-            assert_eq!(warm.counters.reused_flattens, warm.counters.flatten_traces);
-            assert_eq!(warm.counters.truth_proofs + warm.counters.bdd_proofs, 0);
-        }
+        assert_eq!(warm.counters.hazard_partial, cold.counters.hazard_partial);
+        assert_eq!(warm.counters.hazard_rechecks, cold.counters.hazard_rechecks);
+        // Every memoizable step (input-inverter realizations are
+        // network-bound and always re-checked), equation and flatten of
+        // the second pass is discharged by the memo.
+        let (_, dtrace) = async_tech_decomp_traced(&eqs);
+        let cacheable = dtrace
+            .steps
+            .iter()
+            .filter(|s| s.rule != asyncmap_network::RewriteRule::InputInverter)
+            .count();
+        assert_eq!(warm.counters.reused_steps, cacheable);
+        assert_eq!(warm.counters.reused_equations, warm.counters.equations);
+        assert_eq!(warm.counters.reused_flattens, warm.counters.flatten_traces);
+        assert_eq!(warm.counters.truth_proofs + warm.counters.bdd_proofs, 0);
         // The cached run with a fresh cache agrees with the uncached one.
         let reference = audit_equations(&eqs);
+        assert_eq!(diagnostics(&reference), diagnostics(&cold));
         assert_eq!(
             reference.counters.num_certificates(),
             cold.counters.num_certificates()
         );
-        assert_eq!(reference.findings.len(), cold.findings.len());
+    }
+
+    #[test]
+    fn failing_equation_certificate_is_re_proved_on_every_pass() {
+        let vars = VarTable::from_names(["a", "b", "c"]);
+        let f = Cover::parse("ab + a'c + bc", &vars).unwrap();
+        let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
+        let (net, mut dtrace) = async_tech_decomp_traced(&eqs);
+        let (cones, ptrace) = partition_traced(&net);
+        let cert = &mut dtrace.equations[0];
+        cert.result = cert.result.clone().not();
+        let mut cache = AuditCache::new();
+        for pass in 0..2 {
+            let report = check_pipeline_cached(&eqs, &net, &dtrace, &cones, &ptrace, &mut cache);
+            assert!(
+                report
+                    .findings
+                    .iter()
+                    .any(|f| f.code == "decomp.not-equivalent" && f.path == "f:equation"),
+                "pass {pass}: {}",
+                report.render()
+            );
+            assert_eq!(report.counters.reused_equations, 0, "pass {pass}");
+            assert!(
+                report.counters.truth_proofs + report.counters.bdd_proofs > 0,
+                "pass {pass}: the failing certificate was not re-proved"
+            );
+        }
     }
 
     #[test]

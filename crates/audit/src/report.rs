@@ -22,11 +22,13 @@ pub struct AuditCounters {
     /// Cones whose flatten replay was skipped (product count over the
     /// replay cap).
     pub flatten_skipped: usize,
-    /// Hazard-monotonicity re-checks run through the full
-    /// `reverify_containment` / exhaustive-sweep ladder.
+    /// Hazard re-checks decided by the full `reverify_containment` /
+    /// exhaustive-sweep ladder (run in this pass or replayed from a
+    /// cached audit's memo).
     pub hazard_rechecks: usize,
     /// Hazard re-checks on supports too wide for the exact sweep, where
-    /// only the flatten-equality / static-1 necessary condition ran.
+    /// only the flatten-equality / static-1 necessary condition ran (in
+    /// this pass or in the memoized replay).
     pub hazard_partial: usize,
     /// Functional-equivalence proofs discharged with packed truth tables.
     pub truth_proofs: usize,
@@ -37,8 +39,8 @@ pub struct AuditCounters {
     /// Burst-mode spec edges checked.
     pub spec_edges: usize,
     /// Rewrite steps whose equivalence/monotonicity obligations were
-    /// discharged by an identical prior clean replay (cached audit only;
-    /// counted inside [`AuditCounters::rewrite_steps`]).
+    /// discharged by the memoized outcome of an identical prior replay
+    /// (cached audit only; counted inside [`AuditCounters::rewrite_steps`]).
     pub reused_steps: usize,
     /// Equation certificates likewise discharged by reuse (counted inside
     /// [`AuditCounters::equations`]).

@@ -10,12 +10,20 @@
 //!   hazard-preserving law the decomposition may use);
 //! * **forged fanout evidence** — partition cuts with dropped, duplicated
 //!   or fabricated consumers, removed cuts, or duplicated cut points.
+//!
+//! Every tampered run is also audited through [`check_pipeline_cached`]
+//! with a cache warmed on the honest run: a warm cache must report the
+//! same findings as the uncached pipeline.
 
-use asyncmap_audit::{audit_equations, check_decomp_trace, check_partition, check_spec};
+use asyncmap_audit::{
+    audit_equations, audit_equations_cached, check_decomp_trace, check_partition, check_pipeline,
+    check_pipeline_cached, check_spec, AuditCache,
+};
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Cover, Cube, Phase, VarId, VarTable};
 use asyncmap_network::{
-    async_tech_decomp, async_tech_decomp_traced, partition_traced, EquationSet, RewriteRule,
+    async_tech_decomp_traced, partition_traced, Cone, DecompTrace, EquationSet, Network,
+    PartitionTrace, RewriteRule,
 };
 use proptest::prelude::*;
 
@@ -94,6 +102,28 @@ fn tamper_expr(e: &Expr, class: u8) -> Expr {
     }
 }
 
+/// Audits a tampered front-end run of `eqs` uncached and through a cache
+/// warmed on the honest run, and requires both to report the same
+/// findings (code, path and message, in order) and notes.
+fn warm_matches_cold(
+    eqs: &EquationSet,
+    net: &Network,
+    dtrace: &DecompTrace,
+    cones: &[Cone],
+    ptrace: &PartitionTrace,
+) -> Result<(), TestCaseError> {
+    let mut cache = AuditCache::new();
+    audit_equations_cached(eqs, &mut cache);
+    let warm = check_pipeline_cached(eqs, net, dtrace, cones, ptrace, &mut cache);
+    let cold = check_pipeline(eqs, net, dtrace, cones, ptrace);
+    let diagnostics = |r: &asyncmap_audit::AuditReport| {
+        [&r.findings, &r.notes].map(|g| g.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+    };
+    prop_assert!(!cold.is_clean(), "tampering was not flagged");
+    prop_assert_eq!(diagnostics(&warm), diagnostics(&cold));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -113,6 +143,8 @@ proptest! {
         trace.steps[i].rule = rotate_rule(trace.steps[i].rule);
         let report = check_decomp_trace(&net, &trace);
         prop_assert!(!report.is_clean(), "relabeled step {i} was not flagged");
+        let (cones, ptrace) = partition_traced(&net);
+        warm_matches_cold(&eqs, &net, &trace, &cones, &ptrace)?;
     }
 
     #[test]
@@ -135,6 +167,8 @@ proptest! {
         }
         let report = check_decomp_trace(&net, &trace);
         prop_assert!(!report.is_clean(), "edited step {i} was not flagged");
+        let (cones, ptrace) = partition_traced(&net);
+        warm_matches_cold(&eqs, &net, &trace, &cones, &ptrace)?;
     }
 
     #[test]
@@ -143,7 +177,7 @@ proptest! {
         pick in 0usize..4096,
         class in 0u8..4,
     ) {
-        let net = async_tech_decomp(&eqs);
+        let (net, dtrace) = async_tech_decomp_traced(&eqs);
         let (mut cones, mut trace) = partition_traced(&net);
         if trace.cuts.is_empty() {
             return Ok(());
@@ -185,6 +219,7 @@ proptest! {
             !report.is_clean(),
             "forged partition evidence (class {class}) was not flagged"
         );
+        warm_matches_cold(&eqs, &net, &dtrace, &cones, &trace)?;
     }
 }
 

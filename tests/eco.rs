@@ -3,6 +3,8 @@
 //! produce a design fingerprint-identical to mapping the edited equations
 //! cold, and the stitched output must pass the reuse-aware lint and audit
 //! passes — the two external checkers that share no code with the mapper.
+//! The warm audit must also report exactly what a cold audit of the same
+//! equations reports, and replay flattens only for cones the edit changed.
 
 use asyncmap::bench::{apply_edits, design_fingerprint, generate, generate_edits, GenSpec};
 use asyncmap::prelude::*;
@@ -32,6 +34,8 @@ proptest! {
         session.map(&current).expect("base map");
         let mut lint_cache = asyncmap::lint::LintCache::new();
         let mut audit_cache = asyncmap::audit::AuditCache::new();
+        let base_audit = asyncmap::audit::audit_equations_cached(&current, &mut audit_cache);
+        prop_assert!(base_audit.is_clean(), "{}", base_audit.render());
 
         for seed in edit_seeds {
             let edits = generate_edits(&current, edit_count, seed);
@@ -55,6 +59,28 @@ proptest! {
             prop_assert!(lint.is_clean(), "{}", lint.render());
             let audit = asyncmap::audit::audit_equations_cached(&current, &mut audit_cache);
             prop_assert!(audit.is_clean(), "{}", audit.render());
+            let cold_audit = asyncmap::audit::audit_equations(&current);
+            // Severity, code, path and message of every diagnostic, in
+            // discovery order.
+            let diagnostics = |r: &asyncmap::audit::AuditReport| {
+                [&r.findings, &r.notes].map(|g| g.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(diagnostics(&audit), diagnostics(&cold_audit));
+            prop_assert_eq!(
+                audit.counters.num_certificates(),
+                cold_audit.counters.num_certificates()
+            );
+            prop_assert_eq!(
+                audit.counters.hazard_partial,
+                cold_audit.counters.hazard_partial
+            );
+            prop_assert!(
+                audit.counters.flatten_traces - audit.counters.reused_flattens
+                    <= out.eco.cones_remapped,
+                "{} flatten replay(s) for {} remapped cone(s)",
+                audit.counters.flatten_traces - audit.counters.reused_flattens,
+                out.eco.cones_remapped
+            );
         }
     }
 }
