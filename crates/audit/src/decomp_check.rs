@@ -10,7 +10,7 @@
 //! 2. **Functional equivalence** — re-proved by [`crate::equiv`]'s packed
 //!    truth tables / BDDs;
 //! 3. **Hazard monotonicity** — `hazards(after) ⊆ hazards(before)`,
-//!    re-proved by the [`crate::monotone`] ladder.
+//!    re-proved by `recheck_monotone`.
 //!
 //! Per [`EquationCert`] it additionally re-derives, by an independent walk
 //! of the network, the expression the emitted gate tree realizes and
@@ -23,13 +23,15 @@ use std::fmt;
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
+use asyncmap_hazard::{
+    reverify_containment, wide_containment, Containment, Refutation, Unknown, ORACLE_VAR_LIMIT,
+};
 use asyncmap_network::{
     DecompTrace, EquationSet, GateOp, Network, NodeKind, RewriteRule, RewriteStep, SignalId,
 };
 
 use crate::cache::{discharge, AuditCache, Obligation};
-use crate::equiv::{prove_equal, EquivProof};
-use crate::monotone::recheck_monotone;
+use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
 use crate::report::{AuditReport, Severity};
 
 /// Walks the gate tree rooted at `signal` and compares the expression it
@@ -179,29 +181,53 @@ fn prove_rewrite(
         );
         return false;
     }
-    let out = recheck_monotone(after, before);
-    if out.partial {
-        report.counters.hazard_partial += 1;
-        if out.skipped {
+    match recheck_monotone(after, before) {
+        Containment::Proven => report.counters.hazard_rechecks += 1,
+        Containment::Unknown(reason) => {
+            report.counters.hazard_partial += 1;
+            if reason == Unknown::FlattenCap {
+                report.push(
+                    Severity::Info,
+                    "decomp.hazard-partial",
+                    site.to_string(),
+                    "hazard re-check degraded: skipped: product estimate over the flatten \
+                     replay cap"
+                        .to_owned(),
+                );
+            }
+        }
+        Containment::Refuted(how) => {
+            let detail = if how == Refutation::Sweep {
+                report.counters.hazard_rechecks += 1;
+                "full reverification ladder"
+            } else {
+                report.counters.hazard_partial += 1;
+                "partial: static-1 adjacency subset on flattened covers"
+            };
             report.push(
-                Severity::Info,
-                "decomp.hazard-partial",
+                Severity::Error,
+                "decomp.hazard-containment",
                 site.to_string(),
-                format!("hazard re-check degraded: {}", out.detail),
+                format!("hazards(after) ⊆ hazards(before) refuted ({detail})"),
             );
         }
-    } else {
-        report.counters.hazard_rechecks += 1;
-    }
-    if !out.ok {
-        report.push(
-            Severity::Error,
-            "decomp.hazard-containment",
-            site.to_string(),
-            format!("hazards(after) ⊆ hazards(before) refuted ({})", out.detail),
-        );
     }
     true
+}
+
+/// Re-proves `hazards(candidate) ⊆ hazards(reference)`: by the agreeing
+/// [`reverify_containment`] battery on ≤ [`ORACLE_VAR_LIMIT`] supports,
+/// by the [`wide_containment`] ladder above (DESIGN.md §6).
+fn recheck_monotone(candidate: &Expr, reference: &Expr) -> Containment {
+    let support = union_support(candidate, reference);
+    let k = support.len().max(1);
+    let cand = compact_onto(candidate, &support);
+    let refr = compact_onto(reference, &support);
+    if k <= ORACLE_VAR_LIMIT {
+        let r = reverify_containment(&cand, &refr, k);
+        return Containment::from_sweep(r.accepted() && r.methods_agree());
+    }
+    wide_containment(&cand, &refr, k)
 }
 
 /// Replays a [`DecompTrace`] against the network it claims to describe.
@@ -596,5 +622,47 @@ mod tests {
             assert_eq!(marked, matched);
         }
         assert!(matched.iter().filter(|&&m| m).count() > 1);
+    }
+
+    #[test]
+    fn regrouping_is_monotone() {
+        let mut vars = VarTable::new();
+        let before = Expr::parse("a*b + a'*c + b*c", &mut vars).unwrap();
+        let after = match &before {
+            Expr::Or(es) => Expr::Or(vec![
+                Expr::Or(vec![es[0].clone(), es[1].clone()]),
+                es[2].clone(),
+            ]),
+            _ => unreachable!(),
+        };
+        assert_eq!(recheck_monotone(&after, &before), Containment::Proven);
+    }
+
+    #[test]
+    fn cube_deletion_is_refuted() {
+        // Dropping the redundant consensus cube bc introduces a static
+        // 1-hazard (paper Figure 3): containment must be refuted.
+        let mut vars = VarTable::new();
+        let full = Expr::parse("a*b + a'*c + b*c", &mut vars).unwrap();
+        let pruned = Expr::parse_in("a*b + a'*c", &vars).unwrap();
+        assert!(recheck_monotone(&pruned, &full).is_refuted());
+    }
+
+    #[test]
+    fn wide_supports_take_the_partial_path() {
+        let terms: Vec<Expr> = (0..9).map(|i| Expr::Var(VarId(i))).collect();
+        let flat_or = Expr::Or(terms.clone());
+        let regrouped = Expr::Or(vec![
+            Expr::Or(terms[..5].to_vec()),
+            Expr::Or(terms[5..].to_vec()),
+        ]);
+        assert_eq!(
+            recheck_monotone(&regrouped, &flat_or),
+            Containment::Unknown(Unknown::Static1Only)
+        );
+        // Seven supports skip the exhaustive rung: an identical step is
+        // proven structurally.
+        let seven = Expr::Or(terms[..7].to_vec());
+        assert_eq!(recheck_monotone(&seven, &seven), Containment::Proven);
     }
 }

@@ -20,10 +20,9 @@
 
 use asyncmap_bff::{Expr, FlatSop, FlattenTrace};
 use asyncmap_cube::{Bits, Phase};
-use asyncmap_hazard::{wave_eval, ORACLE_VAR_LIMIT};
+use asyncmap_hazard::{product_estimate, wave_eval, ORACLE_VAR_LIMIT};
 
 use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
-use crate::monotone::product_estimate;
 use crate::report::{AuditReport, Severity};
 
 fn is_nnf(e: &Expr) -> bool {

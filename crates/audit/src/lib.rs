@@ -17,7 +17,9 @@
 //!   `asyncmap-bdd` ([`equiv`]);
 //! * hazard-set monotonicity per step is re-proved through
 //!   `asyncmap-hazard`'s [`reverification ladder`](asyncmap_hazard::reverify_containment)
-//!   ([`monotone`]);
+//!   on small supports and the shared containment oracle's
+//!   [`wide ladder`](asyncmap_hazard::wide_containment) above
+//!   ([`check_decomp_trace`]);
 //! * partition cut evidence is re-derived from the raw network
 //!   ([`check_partition`]);
 //! * flatten collapses are replayed by independent product-count
@@ -39,7 +41,6 @@ mod cache;
 pub mod decomp_check;
 pub mod equiv;
 pub mod flatten_check;
-pub mod monotone;
 pub mod partition_check;
 pub mod report;
 pub mod spec_check;
@@ -50,12 +51,11 @@ pub use decomp_check::{
 };
 pub use equiv::{prove_equal, EquivProof, TRUTH_VAR_LIMIT};
 pub use flatten_check::check_flatten;
-pub use monotone::{product_estimate, recheck_monotone, MonotoneOutcome, FLATTEN_REPLAY_CAP};
 pub use partition_check::check_partition;
 pub use report::{AuditCounters, AuditReport, Finding, Severity};
 pub use spec_check::check_spec;
 
-use asyncmap_hazard::multilevel_flatten_traced;
+use asyncmap_hazard::{multilevel_flatten_traced, product_estimate, FLATTEN_CAP};
 use asyncmap_network::{
     async_tech_decomp_traced, partition_traced, Cone, DecompTrace, EquationSet, Network,
     PartitionTrace,
@@ -65,7 +65,7 @@ use cache::{discharge, Obligation};
 /// Audits the flatten collapse of every cone: replays
 /// [`multilevel_flatten_traced`] per cone and checks the resulting
 /// certificate, skipping (with an info note) cones whose independent
-/// product estimate exceeds [`FLATTEN_REPLAY_CAP`].
+/// product estimate exceeds [`FLATTEN_CAP`].
 pub fn audit_cone_flattens(net: &Network, cones: &[Cone]) -> AuditReport {
     audit_cone_flattens_inner(net, cones, None)
 }
@@ -92,7 +92,7 @@ fn audit_cone_flattens_inner(
     for cone in cones {
         let (expr, vars) = cone.to_expr(net);
         let path = ConePath(net.name(cone.root));
-        if product_estimate(&expr) > FLATTEN_REPLAY_CAP {
+        if product_estimate(&expr) > FLATTEN_CAP {
             report.counters.flatten_skipped += 1;
             report.push(
                 Severity::Info,

@@ -1,6 +1,7 @@
 //! Mapped designs: cover assembly, area/delay reporting and verification.
 
 use crate::cover::{ConeCover, Instance};
+use crate::hcache::HazardCache;
 use asyncmap_bdd::{Manager, Ref};
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
@@ -138,19 +139,19 @@ impl MappedDesign {
             .all(|(cone, cover)| verify_cone_function(&self.subject, cone, cover, library))
     }
 
-    /// Checks hazard containment cone by cone:
-    /// `hazards(mapped cone) ⊆ hazards(subject cone)`, via the exhaustive
-    /// waveform sweep. Cones wider than the sweep limit are skipped
-    /// (their safety follows from the per-match checks and the composition
-    /// theorem, paper Theorem 3.2/Lemma 4.5).
+    /// Checks `hazards(mapped cone) ⊆ hazards(subject cone)` for every
+    /// cone through the containment oracle ([`HazardCache::containment`],
+    /// memoized per call) and returns `false` iff some cone is *refuted*.
+    /// A wide cone left `Unknown` passes: its remaining hazard classes rest
+    /// on the per-match checks and Theorem 3.2 / Lemma 4.5.
     pub fn verify_hazards(&self, library: &Library) -> bool {
+        let cache = HazardCache::new();
         self.cones.iter().zip(&self.covers).all(|(cone, cover)| {
-            if cone.leaves.len() > asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT {
-                return true;
-            }
             let (orig, _) = cone.to_expr(&self.subject);
             let mapped = mapped_cone_expr(&self.subject, cone, cover, library);
-            asyncmap_hazard::hazards_subset(&mapped, &orig, cone.leaves.len())
+            !cache
+                .containment(&mapped, &orig, cone.leaves.len())
+                .is_refuted()
         })
     }
 }

@@ -27,6 +27,9 @@
 
 use crate::fxhash::FxBuildHasher;
 use asyncmap_bff::Expr;
+use asyncmap_hazard::{
+    hazards_subset_exhaustive, wide_containment, Containment, EXHAUSTIVE_VAR_LIMIT,
+};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -145,30 +148,24 @@ impl HazardCache {
         })
     }
 
-    /// Memoized *expression-level* containment verdict, the entry point
-    /// for whole-cone analyses (the fundamental-mode analyzer) that ask
-    /// `hazards(candidate) ⊆ hazards(reference)` about two composed
-    /// expressions rather than a (cell, binding) pair. Both expressions
-    /// are interned; the verdict is keyed on their ids and `nvars` under
-    /// a sentinel cell index no matcher key can collide with. Concurrent
-    /// callers may race to compute the same verdict; both arrive at the
-    /// same answer, so the duplicate insert is harmless.
-    pub fn expr_verdict(
-        &self,
-        candidate: &Expr,
-        reference: &Expr,
-        nvars: usize,
-        compute: impl FnOnce() -> bool,
-    ) -> bool {
-        let cand = self.intern(candidate);
-        let refr = self.intern(reference);
+    /// Memoized [`asyncmap_hazard::containment`] for two composed (cone)
+    /// expressions. The sweep rung (≤ [`EXHAUSTIVE_VAR_LIMIT`] variables)
+    /// is keyed on both interned ids and `nvars` under a sentinel cell index
+    /// no matcher key can collide with; wider pairs go straight to the
+    /// cheap [`wide_containment`] rungs, neither interned nor counted.
+    pub fn containment(&self, candidate: &Expr, reference: &Expr, nvars: usize) -> Containment {
+        if nvars > EXHAUSTIVE_VAR_LIMIT {
+            return wide_containment(candidate, reference, nvars);
+        }
         let key = VerdictKey {
             cell_index: u32::MAX,
-            binding: cand as u128,
-            cluster: refr,
-            nleaves: u32::try_from(nvars).expect("nvars overflow"),
+            binding: self.intern(candidate) as u128,
+            cluster: self.intern(reference),
+            nleaves: nvars as u32,
         };
-        self.verdict(key, compute)
+        Containment::from_sweep(self.verdict(key, || {
+            hazards_subset_exhaustive(candidate, reference, nvars)
+        }))
     }
 
     /// Returns the cached verdict for `key`, or evaluates `compute`,

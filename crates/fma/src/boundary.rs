@@ -7,33 +7,19 @@
 //! handles glitch-free, the mapped cone must too. This module re-derives
 //! that obligation from the finished design alone.
 //!
-//! Narrow cones (≤ [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] leaves) get
-//! the exhaustive waveform sweep, interned in the shared
-//! [`HazardCache`] so repeated shapes — and re-analysis after an ECO
-//! edit — pay once. Wider cones get a bounded-delay fallback ladder
-//! instead of an exponential sweep:
-//!
-//! 1. structural equality (a 1:1 cover adds nothing);
-//! 2. hazard-preserving flattening of both structures (product count
-//!    permitting) and the exact static-1 containment condition on the
-//!    flats — its failure is a real violation
-//!    (`boundary.static1-escape`);
-//! 3. otherwise the cone is counted as *partially* verified — a counter,
-//!    not a finding, because an inconclusive bound is not evidence of a
-//!    defect.
+//! Each cone asks the memoized containment oracle
+//! ([`HazardCache::containment`]; DESIGN.md §6) and maps its verdict onto
+//! this analyzer's codes: a sweep refutation (≤ [`EXHAUSTIVE_VAR_LIMIT`]
+//! leaves) is `boundary.containment`, a wide static-1 refutation
+//! `boundary.static1-escape`, and `Unknown` is counted *partial* — a
+//! counter, not a finding, as an inconclusive bound is no defect.
 
-use asyncmap_bff::{flatten, Expr};
 use asyncmap_core::{cone_cover_words, mapped_cone_expr, HazardCache, MappedDesign};
-use asyncmap_hazard::{hazards_subset_exhaustive, static1_subset, EXHAUSTIVE_VAR_LIMIT};
+use asyncmap_hazard::{Containment, Refutation, EXHAUSTIVE_VAR_LIMIT};
 use asyncmap_library::Library;
 use asyncmap_report::Severity;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Flattening is abandoned when either structure would expand past this
-/// many products — the same bound the transformation audit uses for its
-/// replay ladder.
-const FLATTEN_CAP: usize = 4096;
 
 /// Outcome of one cone's boundary check, merged in partition order.
 pub(crate) struct ConeOutcome {
@@ -118,100 +104,37 @@ fn check_cone(
     let (subject, _) = cone.to_expr(net);
     let mapped = mapped_cone_expr(net, cone, cover, library);
 
-    if n <= EXHAUSTIVE_VAR_LIMIT {
-        out.exact = true;
-        let contained = hcache.expr_verdict(&mapped, &subject, n, || {
-            hazards_subset_exhaustive(&mapped, &subject, n)
-        });
-        if !contained {
-            out.findings.push((
-                Severity::Error,
-                "boundary.containment",
-                path,
-                format!(
-                    "mapped cone can glitch on an input burst its subject function \
-                     handles clean ({n} leaves, exhaustive waveform sweep) — upstream \
-                     monotone transitions no longer cover this cone's bursts"
-                ),
-            ));
-        }
-    } else {
-        out.wide = true;
-        if mapped != subject {
-            if product_estimate(&mapped) <= FLATTEN_CAP && product_estimate(&subject) <= FLATTEN_CAP
-            {
-                let mflat = flatten(&mapped, n).cover;
-                let sflat = flatten(&subject, n).cover;
-                if static1_subset(&mflat, &sflat) {
-                    // Static-1 behavior certified; the dynamic classes are
-                    // covered by the mapper's per-match checks but not
-                    // re-proved here.
-                    out.partial = true;
-                } else {
-                    out.findings.push((
-                        Severity::Error,
-                        "boundary.static1-escape",
-                        path,
-                        format!(
-                            "wide cone ({n} leaves): a static-1 transition of the subject \
-                             function has no single covering product in the mapped \
-                             structure's flattening — the cone can glitch while holding 1"
-                        ),
-                    ));
-                }
-            } else {
-                out.partial = true;
-            }
-        }
+    out.exact = n <= EXHAUSTIVE_VAR_LIMIT;
+    out.wide = !out.exact;
+    match hcache.containment(&mapped, &subject, n) {
+        Containment::Proven => {}
+        // Static-1 behavior certified at best; the dynamic classes are
+        // covered by the mapper's per-match checks but not re-proved here.
+        Containment::Unknown(_) => out.partial = true,
+        Containment::Refuted(Refutation::Sweep) => out.findings.push((
+            Severity::Error,
+            "boundary.containment",
+            path,
+            format!(
+                "mapped cone can glitch on an input burst its subject function \
+                 handles clean ({n} leaves, exhaustive waveform sweep) — upstream \
+                 monotone transitions no longer cover this cone's bursts"
+            ),
+        )),
+        Containment::Refuted(Refutation::Static1Escape) => out.findings.push((
+            Severity::Error,
+            "boundary.static1-escape",
+            path,
+            format!(
+                "wide cone ({n} leaves): a static-1 transition of the subject \
+                 function has no single covering product in the mapped \
+                 structure's flattening — the cone can glitch while holding 1"
+            ),
+        )),
     }
 
     if !out.findings.is_empty() {
         out.key = None;
     }
     out
-}
-
-/// Saturating upper bound on the number of products a hazard-preserving
-/// flattening of `expr` produces, on the negation-normal form `flatten`
-/// itself uses.
-fn product_estimate(expr: &Expr) -> usize {
-    fn est(expr: &Expr, negated: bool) -> usize {
-        match expr {
-            Expr::Const(_) | Expr::Var(_) => 1,
-            Expr::Not(e) => est(e, !negated),
-            Expr::And(es) if !negated => es.iter().fold(1usize, |a, e| {
-                a.saturating_mul(est(e, negated)).min(usize::MAX / 2)
-            }),
-            Expr::Or(es) if negated => es.iter().fold(1usize, |a, e| {
-                a.saturating_mul(est(e, negated)).min(usize::MAX / 2)
-            }),
-            Expr::And(es) | Expr::Or(es) => es
-                .iter()
-                .fold(0usize, |a, e| a.saturating_add(est(e, negated))),
-        }
-    }
-    est(expr, false)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use asyncmap_cube::VarId;
-
-    fn v(i: usize) -> Expr {
-        Expr::Var(VarId(i))
-    }
-
-    #[test]
-    fn product_estimate_bounds_flatten() {
-        // (a + b)(c + d) -> 4 products; a'(b + c) -> 2.
-        let e = Expr::And(vec![Expr::Or(vec![v(0), v(1)]), Expr::Or(vec![v(2), v(3)])]);
-        assert_eq!(product_estimate(&e), 4);
-        assert_eq!(flatten(&e, 4).cover.len(), 4);
-        let e = Expr::And(vec![Expr::Not(Box::new(v(0))), Expr::Or(vec![v(1), v(2)])]);
-        assert_eq!(product_estimate(&e), 2);
-        // DeMorgan: !(ab) flattens to a' + b'.
-        let e = Expr::Not(Box::new(Expr::And(vec![v(0), v(1)])));
-        assert_eq!(product_estimate(&e), 2);
-    }
 }

@@ -6,14 +6,16 @@
 //! * forged spec bursts (the design no longer implements an edge) →
 //!   `boundary.burst-mismatch`;
 //! * a glitch-capable cover substituted for a hazard-free one →
-//!   `boundary.containment`.
+//!   `boundary.containment` (narrow cone) or `boundary.static1-escape`
+//!   (wide cone, where the mapper's self-check and lint must refuse it
+//!   too).
 
 use asyncmap_burst::{benchmark, benchmark_spec, BurstSpec};
-use asyncmap_core::{async_tmap, Instance, MapOptions, MapStats, MappedDesign};
+use asyncmap_core::{async_tmap, ConeCover, Instance, MapOptions, MapStats, MappedDesign};
 use asyncmap_cube::{Bits, Cover, VarTable};
 use asyncmap_fma::{analyze_design, analyze_design_with_spec};
 use asyncmap_library::{builtin, Library};
-use asyncmap_network::EquationSet;
+use asyncmap_network::{partition, EquationSet, GateOp, Network, SignalId};
 use proptest::prelude::*;
 use std::sync::LazyLock;
 
@@ -165,6 +167,116 @@ fn glitch_capable_cover_is_flagged() {
             .iter()
             .any(|f| f.code == "boundary.containment"),
         "hazardous substitute cover not flagged:\n{}",
+        report.render()
+    );
+}
+
+/// Figure 3 widened past the exhaustive sweep: a hand-built 9-leaf cone
+/// `f = (ab + a'c + bc) + ((d + e) + g) + ((h + i) + j)` in 2-input
+/// gates. Covered gate for gate (INV, AND2, OR2 on the figure-3 part) it
+/// keeps every product; with the figure-3 part collapsed into one MUX2
+/// (`a·b + a'·c`) it computes the same function but drops the consensus
+/// product `bc`, so the static-1 transition of `a` at `b = c = 1` can
+/// glitch. The wide ladder must refute that cone in every checker: the
+/// mapper's self-check, lint's whole-cone check and the analyzer.
+#[test]
+fn wide_cone_consensus_drop_is_refused_everywhere() {
+    let mut lib = builtin::lsi9k();
+    lib.annotate_hazards();
+    let cell = |name: &str| {
+        lib.cells()
+            .iter()
+            .position(|c| c.name() == name)
+            .unwrap_or_else(|| panic!("LSI9K has {name}"))
+    };
+    let mut net = Network::new();
+    let [a, b, c, d, e, g, h, i, j] =
+        ["a", "b", "c", "d", "e", "g", "h", "i", "j"].map(|n| net.add_input(n));
+    let na = net.add_gate(GateOp::Inv, [a]);
+    let t1 = net.add_gate(GateOp::And, [a, b]);
+    let t2 = net.add_gate(GateOp::And, [na, c]);
+    let t3 = net.add_gate(GateOp::And, [b, c]);
+    let m1 = net.add_gate(GateOp::Or, [t1, t2]);
+    let m = net.add_gate(GateOp::Or, [m1, t3]);
+    let o1 = net.add_gate(GateOp::Or, [d, e]);
+    let o2 = net.add_gate(GateOp::Or, [o1, g]);
+    let p1 = net.add_gate(GateOp::Or, [h, i]);
+    let p2 = net.add_gate(GateOp::Or, [p1, j]);
+    let q = net.add_gate(GateOp::Or, [o2, p2]);
+    let f = net.add_gate(GateOp::Or, [m, q]);
+    net.mark_output("f", f);
+    let cones = partition(&net);
+    assert_eq!(cones.len(), 1);
+    assert_eq!(cones[0].leaves.len(), 9);
+
+    let inst = |name: &str, output: SignalId, inputs: &[SignalId]| Instance {
+        cell_index: cell(name),
+        output,
+        inputs: inputs.to_vec(),
+    };
+    let design_with = |figure3: Vec<Instance>| {
+        let mut instances = figure3;
+        instances.extend([
+            inst("OR3", o2, &[d, e, g]),
+            inst("OR3", p2, &[h, i, j]),
+            inst("OR3", f, &[m, o2, p2]),
+        ]);
+        let area = instances
+            .iter()
+            .map(|x| lib.cells()[x.cell_index].area())
+            .sum();
+        MappedDesign {
+            library_name: lib.name().to_owned(),
+            subject: net.clone(),
+            cones: cones.clone(),
+            covers: vec![ConeCover {
+                root: f,
+                instances,
+                area,
+                cut_truncations: 0,
+            }],
+            area,
+            delay: 0.0,
+            stats: MapStats::default(),
+        }
+    };
+
+    let faithful = design_with(vec![
+        inst("INV", na, &[a]),
+        inst("AND2", t1, &[a, b]),
+        inst("AND2", t2, &[na, c]),
+        inst("AND2", t3, &[b, c]),
+        inst("OR2", m1, &[t1, t2]),
+        inst("OR2", m, &[m1, t3]),
+    ]);
+    assert!(faithful.verify_function(&lib));
+    assert!(faithful.verify_hazards(&lib));
+    let lint = asyncmap_lint::lint_mapped_design(&faithful, &lib);
+    assert!(lint.is_clean(), "{}", lint.render());
+    let report = analyze_design(&faithful, &lib);
+    assert!(report.is_clean(), "{}", report.render());
+
+    let pruned = design_with(vec![inst("MUX2", m, &[a, b, c])]);
+    assert!(pruned.verify_function(&lib));
+    assert!(
+        !pruned.verify_hazards(&lib),
+        "self-check passed a wide cone that dropped its consensus product"
+    );
+    let lint = asyncmap_lint::lint_mapped_design(&pruned, &lib);
+    assert!(
+        lint.findings
+            .iter()
+            .any(|x| x.code == "theorem32.cone-containment"),
+        "lint missed the wide-cone escape:\n{}",
+        lint.render()
+    );
+    let report = analyze_design(&pruned, &lib);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|x| x.code == "boundary.static1-escape"),
+        "analyzer missed the wide-cone escape:\n{}",
         report.render()
     );
 }

@@ -20,7 +20,8 @@
 //!   for every library element at load time;
 //! * [`hazards_subset`] — the acceptance test
 //!   `hazards(element) ⊆ hazards(subnetwork)` of the modified matching
-//!   algorithm (Theorem 3.2).
+//!   algorithm (Theorem 3.2); the verifiers ask its three-way cone-level
+//!   form, [`containment`].
 //!
 //! The eight-valued waveform algebra ([`wave_eval`]) acts as the exact
 //! per-transition oracle for tree-structured expressions under the
@@ -55,6 +56,7 @@
 
 mod analysis;
 mod compare;
+mod containment;
 mod dynamic2l;
 mod function;
 mod kinds;
@@ -70,6 +72,9 @@ mod wave;
 pub use analysis::{analyze_cover, analyze_cover_fast, analyze_expr, analyze_expr_fast};
 pub use compare::{
     hazards_subset, hazards_subset_exhaustive, hazards_subset_guided, EXHAUSTIVE_VAR_LIMIT,
+};
+pub use containment::{
+    containment, product_estimate, wide_containment, Containment, Refutation, Unknown, FLATTEN_CAP,
 };
 pub use dynamic2l::{find_mic_dyn_haz_2level, irredundant_intersections, mic_dynamic_hazard_on};
 pub use function::{

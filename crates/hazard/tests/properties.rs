@@ -1,14 +1,15 @@
 //! Property tests: the paper's fast hazard algorithms against brute-force
 //! oracles and the eight-valued waveform algebra on random small functions.
 
-use asyncmap_bff::Expr;
+use asyncmap_bff::{flatten, Expr};
 use asyncmap_cube::{Cover, Cube, Phase, VarId};
 use asyncmap_hazard::oracle::{
     brute_mic_dynamic_transitions, brute_static1_transitions, index_bits, is_static1_induced,
 };
 use asyncmap_hazard::{
-    analyze_expr, find_mic_dyn_haz_2level, has_static_hazard, hazards_subset_exhaustive,
-    is_static_1_hazard_free, static1_subset, static_1_analysis, static_1_complete, wave_eval,
+    analyze_expr, containment, find_mic_dyn_haz_2level, has_static_hazard,
+    hazards_subset_exhaustive, is_static_1_hazard_free, product_estimate, repair_static1,
+    static1_subset, static_1_analysis, static_1_complete, wave_eval, wide_containment, Containment,
     Hazard,
 };
 use proptest::prelude::*;
@@ -183,6 +184,105 @@ proptest! {
     fn exhaustive_subset_is_reflexive_and_transitive_with_self(f in arb_cover()) {
         let expr = Expr::from_cover(&f);
         prop_assert!(hazards_subset_exhaustive(&expr, &expr, NVARS));
+    }
+}
+
+/// Two structures of `f`'s function: its two-level form and, by `pick`,
+/// the same products regrouped into two nested sums split at `split`, or
+/// the consensus-completed (static-1 repaired) cover.
+fn same_function_pair(f: &Cover, split: usize, pick: bool) -> (Expr, Expr) {
+    let two_level = Expr::from_cover(f);
+    let other = if pick {
+        Expr::from_cover(&repair_static1(f).cover)
+    } else {
+        match &two_level {
+            Expr::Or(terms) if terms.len() >= 2 => {
+                let k = 1 + split % (terms.len() - 1);
+                Expr::Or(vec![
+                    Expr::Or(terms[..k].to_vec()),
+                    Expr::Or(terms[k..].to_vec()),
+                ])
+            }
+            other => other.clone(),
+        }
+    };
+    (two_level, other)
+}
+
+/// A random expression over `NVARS` variables with constants, negations
+/// and empty or nested sums and products, decoded from `bytes`.
+fn decode_expr(bytes: &mut impl Iterator<Item = u8>, depth: usize) -> Expr {
+    let b = bytes.next().unwrap_or(0);
+    let leaf = |b: u8| match b % 6 {
+        4 => Expr::Const(true),
+        5 => Expr::Const(false),
+        v => Expr::Var(VarId(v as usize % NVARS)),
+    };
+    if depth == 0 {
+        return leaf(b >> 2);
+    }
+    match b % 4 {
+        0 => leaf(b >> 2),
+        1 => decode_expr(bytes, depth - 1).not(),
+        op => {
+            let arity = usize::from(bytes.next().unwrap_or(0) % 4);
+            let kids = (0..arity).map(|_| decode_expr(bytes, depth - 1)).collect();
+            if op == 2 {
+                Expr::And(kids)
+            } else {
+                Expr::Or(kids)
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn containment_ladder_is_sound(f in arb_cover(), split in 0usize..8, pick in any::<bool>()) {
+        // Every rung of the wide ladder agrees with the exact sweep where
+        // it commits, and the oracle is the sweep on narrow supports.
+        let (a, b) = same_function_pair(&f, split, pick);
+        for (cand, refr) in [(&a, &b), (&b, &a)] {
+            let exact = hazards_subset_exhaustive(cand, refr, NVARS);
+            match wide_containment(cand, refr, NVARS) {
+                Containment::Proven => prop_assert!(exact, "wide ladder proved a refuted pair"),
+                Containment::Refuted(_) => {
+                    prop_assert!(!exact, "wide ladder refuted a contained pair")
+                }
+                Containment::Unknown(_) => {}
+            }
+            prop_assert_eq!(containment(cand, refr, NVARS), Containment::from_sweep(exact));
+        }
+    }
+
+    #[test]
+    fn product_estimate_counts_flattened_products(bytes in prop::collection::vec(any::<u8>(), 1..48)) {
+        // Exact on the normal form `flatten` distributes — which is what
+        // the audit's flatten replay (`flatten.count-mismatch`) compares
+        // against — and on constant-free expressions. Elsewhere an
+        // absorbing constant (`1 + x`, `0 * x`) folds away before
+        // distribution, so the estimate is an upper bound: the flatten cap
+        // never lets a larger flattening through.
+        let e = decode_expr(&mut bytes.into_iter(), 4);
+        let flat = flatten(&e, NVARS);
+        let produced = (flat.cover.len() + flat.vacuous.len()) as u64;
+        prop_assert_eq!(product_estimate(&e.to_nnf().simplify_assoc()), produced, "expression {:?}", e);
+        prop_assert!(product_estimate(&e) >= produced, "expression {:?}", e);
+        if !has_const(&e) {
+            prop_assert_eq!(product_estimate(&e), produced, "expression {:?}", e);
+        }
+    }
+}
+
+/// `true` when `e` holds a constant, written or as an empty sum or product.
+fn has_const(e: &Expr) -> bool {
+    match e {
+        Expr::Const(_) => true,
+        Expr::Var(_) => false,
+        Expr::Not(inner) => has_const(inner),
+        Expr::And(es) | Expr::Or(es) => es.is_empty() || es.iter().any(has_const),
     }
 }
 

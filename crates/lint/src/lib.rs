@@ -25,7 +25,7 @@
 //!   through every analysis the hazard crate has (exhaustive transition
 //!   sweep, descriptor-guided comparison, static-1 cube adjacency,
 //!   brute-force oracle on small supports), plus a whole-cone containment
-//!   sweep where the cone is narrow enough.
+//!   verdict from [`asyncmap_hazard::containment`] at every width.
 //!
 //! Findings carry a severity, a human-readable gate path and a stable
 //! machine-readable code (`family.kind`). Info-level notes (dead
@@ -78,10 +78,10 @@ pub struct LintCounters {
     pub function_checks: usize,
     /// Hazardous-cell bindings re-verified against Theorem 3.2.
     pub theorem32_checks: usize,
-    /// Whole-cone containment sweeps performed.
+    /// Whole-cone containment verdicts computed.
     pub cone_sweeps: usize,
-    /// Cones too wide for the whole-cone exhaustive sweep.
-    pub cone_sweeps_skipped: usize,
+    /// Whole-cone verdicts left `Unknown` (wide cones only).
+    pub cone_unknown: usize,
     /// Cones whose per-cone checks were skipped because an identically
     /// shaped cone with an identical local cover already linted clean
     /// (only [`lint_mapped_design_cached`] ever sets this).
@@ -101,6 +101,10 @@ impl asyncmap_report::Counters for LintCounters {
             self.function_checks,
             self.theorem32_checks,
         ));
+        out.push_str(&format!(
+            "lint: {} of {} whole-cone containment verdict(s) unknown (wide cones)\n",
+            self.cone_unknown, self.cone_sweeps
+        ));
         if self.cones_reused > 0 {
             out.push_str(&format!(
                 "lint: {} cone(s) reused from a prior clean pass\n",
@@ -115,7 +119,7 @@ impl asyncmap_report::Counters for LintCounters {
         self.function_checks += other.function_checks;
         self.theorem32_checks += other.theorem32_checks;
         self.cone_sweeps += other.cone_sweeps;
-        self.cone_sweeps_skipped += other.cone_sweeps_skipped;
+        self.cone_unknown += other.cone_unknown;
         self.cones_reused += other.cones_reused;
     }
 }

@@ -2,17 +2,17 @@
 //! satisfy `hazards(cell) ⊆ hazards(covered subnetwork)`, re-derived here
 //! through the hazard crate's full battery
 //! ([`asyncmap_hazard::reverify_containment`]) rather than through the
-//! mapper's cached fast path. Where the cone is narrow enough, the
-//! composed cone structure is additionally swept against the original
-//! cone — the composition the paper's Lemma 4.5 licenses, checked rather
-//! than assumed.
+//! mapper's cached fast path. Every composed cone structure is also checked
+//! against its original cone by [`asyncmap_hazard::containment`] — the
+//! composition Lemma 4.5 licenses, checked rather than assumed; an
+//! undecided wide cone is counted in `LintCounters::cone_unknown`.
 
 use crate::{
     composed_cover_expr, path_of, subnetwork_expr, substitute, InstanceView, LintReport, Severity,
 };
 use asyncmap_bff::Expr;
 use asyncmap_core::{ConeCover, MappedDesign};
-use asyncmap_hazard::{hazards_subset_exhaustive, reverify_containment, EXHAUSTIVE_VAR_LIMIT};
+use asyncmap_hazard::{containment, reverify_containment, Containment};
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, SignalId};
 use std::collections::HashMap;
@@ -103,13 +103,8 @@ pub(crate) fn check_cover(
         }
     }
 
-    // Whole-cone sweep: the composed mapped structure against the original
-    // cone, over the cone's leaf space.
-    let n = cone.leaves.len();
-    if n > EXHAUSTIVE_VAR_LIMIT {
-        report.counters.cone_sweeps_skipped += 1;
-        return;
-    }
+    // Whole-cone containment: the composed mapped structure against the
+    // original cone, over the cone's leaf space.
     if !all_sound {
         return; // composition is meaningless on a structurally broken cover
     }
@@ -118,12 +113,14 @@ pub(crate) fn check_cover(
     };
     report.counters.cone_sweeps += 1;
     let (orig, _) = cone.to_expr(net);
-    if !hazards_subset_exhaustive(&composed, &orig, n) {
-        report.push(
+    match containment(&composed, &orig, cone.leaves.len()) {
+        Containment::Proven => {}
+        Containment::Unknown(_) => report.counters.cone_unknown += 1,
+        Containment::Refuted(_) => report.push(
             Severity::Error,
             "theorem32.cone-containment",
             path_of(net, cone, None),
             "the composed mapped cone has hazards the original cone lacks".to_owned(),
-        );
+        ),
     }
 }
